@@ -27,10 +27,9 @@ use trace::Tracer;
 const WORKLOADS: [&str; 3] = ["reshard-bytes", "gpt-pipeline", "serve-poisson"];
 
 /// End-to-end metrics (`--trace 0`): name, unit.
-const END_TO_END: [(&str, &str); 5] = [
+const END_TO_END: [(&str, &str); 4] = [
     ("setup_s", "s"),
-    ("ops_per_s", "1/s"),
-    ("latency_p50_ms", "ms"),
+    ("latency_body_ms", "ms"),
     ("latency_tail_ms", "ms"),
     ("peak_rss_mb", "MB"),
 ];
@@ -91,6 +90,10 @@ const MAX_NAMED_FAILURES: usize = 20;
 /// What a workload run produced.
 #[derive(Debug)]
 pub struct Outcome {
+    /// Percentile reported as `latency_body_ms`: 0.5, or 0.01 where the
+    /// host's two speed modes split the latencies and the median would
+    /// jump between them.
+    pub body_p: f64,
     /// Percentile reported as `latency_tail_ms` (0.9 or 0.99).
     pub tail_p: f64,
     /// Wall seconds of each set-up repetition.
@@ -115,9 +118,11 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// An empty outcome reporting percentile `tail_p` as its tail.
-    pub fn new(tail_p: f64) -> Outcome {
+    /// An empty outcome reporting percentiles `body_p` and `tail_p` as
+    /// the body and the tail of its latencies.
+    pub fn new(body_p: f64, tail_p: f64) -> Outcome {
         Outcome {
+            body_p,
             tail_p,
             setup_s: Vec::new(),
             latencies_ms: Vec::new(),
@@ -353,8 +358,10 @@ fn main() -> ExitCode {
     };
 
     let lat = stats::sorted(out.latencies_ms.clone());
+    let body = stats::head(&lat, out.body_p);
     let tail = stats::tail(&lat, out.tail_p);
-    let tail_name = format!("latency_p{}_ms", (out.tail_p * 100.0).round());
+    let name = |p: f64| format!("latency_p{}_ms", (p * 100.0).round());
+    let (body_name, tail_name) = (name(out.body_p), name(out.tail_p));
     let setup = stats::median(&stats::sorted(out.setup_s.clone()));
     let completed = out.attempted - out.failed.min(out.attempted);
     let mut flagged = Vec::new();
@@ -370,13 +377,7 @@ fn main() -> ExitCode {
         }
         m
     } else {
-        let values = [
-            setup,
-            Some(completed as f64 / out.timed_s.max(1e-9)),
-            stats::percentile(&lat, 0.5),
-            tail.value,
-            peak_rss_mb(),
-        ];
+        let values = [setup, body.value, tail.value, peak_rss_mb()];
         let mut m = Map::new();
         for ((name, unit), v) in END_TO_END.into_iter().zip(values) {
             match v {
@@ -390,6 +391,10 @@ fn main() -> ExitCode {
     };
 
     let mut tails = out.tails.clone();
+    tails.insert(
+        body_name.clone(),
+        json!({"samples": body.samples, "below": body.beyond, "flagged": body.value.is_none()}),
+    );
     tails.insert(
         tail_name.clone(),
         json!({"samples": tail.samples, "beyond": tail.beyond, "flagged": tail.value.is_none()}),
@@ -408,7 +413,10 @@ fn main() -> ExitCode {
         "fail_rate": out.failed as f64 / out.attempted.max(1) as f64,
         "failures": out.failures,
         "failure_events": out.failure_events,
+        "latency_body": body_name,
         "latency_tail": tail_name,
+        "ops_per_s": completed as f64 / out.timed_s.max(1e-9),
+        "latency_p50_ms": stats::percentile(&lat, 0.5),
         "latency_quartiles_ms": quartiles.map(|(a, b)| vec![a, b]),
         "percentile_samples": Value::Object(tails),
         "flagged": flagged,

@@ -14,7 +14,7 @@ use crossmesh_pipeline::{simulate_with_cache, PipelineConfig, PipelineReport};
 use std::time::Instant;
 
 /// How many times set-up runs; the median is reported.
-const SETUP_REPEATS: usize = 5;
+const SETUP_REPEATS: usize = 9;
 
 struct Setup {
     cluster: ClusterSpec,
@@ -74,7 +74,7 @@ fn check(report: &PipelineReport, reference: &PipelineReport) -> Result<(), Stri
 
 /// Runs the workload; with `traced`, every other iteration records spans.
 pub fn run(seconds: f64, traced: bool, tracer: &Tracer) -> Result<Outcome, String> {
-    let mut out = Outcome::new(0.9);
+    let mut out = Outcome::new(0.01, 0.99);
     let mut setup = None;
     for _ in 0..SETUP_REPEATS {
         let t = Instant::now();

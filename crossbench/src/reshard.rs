@@ -309,7 +309,7 @@ fn account<E: std::fmt::Display>(
 /// passes until `seconds` have elapsed. With `traced`, every other pass
 /// records spans and the rest measure the tracing overhead.
 pub fn run(seed: u64, seconds: f64, traced: bool, tracer: &Tracer) -> Result<Outcome, String> {
-    let mut out = Outcome::new(0.9);
+    let mut out = Outcome::new(0.5, 0.9);
     let mut setup = None;
     for _ in 0..SETUP_REPEATS {
         let t = Instant::now();

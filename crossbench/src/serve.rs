@@ -32,7 +32,7 @@ const POOL: usize = SPEC_PAIRS.len() * MESH_PAIRS.len() * 8;
 /// misses stay steady through the run instead of dying out early.
 const NOVEL_EVERY: u64 = 10;
 /// How many times set-up runs; the median is reported.
-const SETUP_REPEATS: usize = 3;
+const SETUP_REPEATS: usize = 5;
 /// Longest wait for any single reply before the run is declared hung.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(20);
 
@@ -210,7 +210,7 @@ fn read_raw(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
 /// requests, spans for generator lag, encode, the server's queue/plan/exec
 /// stage times and decode; the rest measure the tracing overhead.
 pub fn run(seed: u64, seconds: f64, traced: bool, tracer: &Tracer) -> Result<Outcome, String> {
-    let mut out = Outcome::new(0.99);
+    let mut out = Outcome::new(0.5, 0.99);
     let mut rng = SmallRng::seed_from_u64(seed);
     let pool = shape_pool();
     let arrivals = schedule(&mut rng, &pool, seconds);

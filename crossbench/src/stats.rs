@@ -18,15 +18,6 @@ fn rank(n: usize, p: f64) -> usize {
     ((p * n as f64).ceil() as usize).clamp(1, n)
 }
 
-/// Samples strictly above the nearest-rank position of percentile `p`.
-fn samples_beyond(n: usize, p: f64) -> usize {
-    if n == 0 {
-        0
-    } else {
-        n - rank(n, p)
-    }
-}
-
 /// A percentile that is reported only when at least [`MIN_BEYOND`]
 /// samples lie beyond it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,14 +26,27 @@ pub struct Tail {
     pub value: Option<f64>,
     /// Samples behind the estimate.
     pub samples: usize,
-    /// Samples beyond the percentile's rank.
+    /// Samples beyond the percentile's rank: above it for a tail, below
+    /// it for a head.
     pub beyond: usize,
 }
 
 /// Percentile `p` of `sorted`, flagged (value `None`) when fewer than
-/// [`MIN_BEYOND`] samples lie beyond it.
+/// [`MIN_BEYOND`] samples lie above it.
 pub fn tail(sorted: &[f64], p: f64) -> Tail {
-    let beyond = samples_beyond(sorted.len(), p);
+    let n = sorted.len();
+    flag(sorted, p, if n == 0 { 0 } else { n - rank(n, p) })
+}
+
+/// Percentile `p` of `sorted` counted from the fast end, flagged (value
+/// `None`) when fewer than [`MIN_BEYOND`] samples lie below it.
+pub fn head(sorted: &[f64], p: f64) -> Tail {
+    let n = sorted.len();
+    flag(sorted, p, if n == 0 { 0 } else { rank(n, p) - 1 })
+}
+
+/// Percentile `p` of `sorted` with `beyond` samples on its far side.
+fn flag(sorted: &[f64], p: f64, beyond: usize) -> Tail {
     Tail {
         value: if beyond >= MIN_BEYOND {
             percentile(sorted, p)
@@ -119,6 +123,18 @@ mod tests {
         let thousand: Vec<f64> = (1..=1000).map(f64::from).collect();
         assert_eq!(tail(&thousand, 0.99).value, Some(990.0));
         assert_eq!(tail(&[], 0.5).value, None);
+    }
+
+    #[test]
+    fn heads_need_ten_samples_below() {
+        let hundred: Vec<f64> = (1..=100).map(f64::from).collect();
+        // p10 of 100 samples is the 10th, with 9 below it: flagged.
+        let p10 = head(&hundred, 0.1);
+        assert_eq!((p10.value, p10.beyond, p10.samples), (None, 9, 100));
+        let more: Vec<f64> = (1..=110).map(f64::from).collect();
+        let p10 = head(&more, 0.1);
+        assert_eq!((p10.value, p10.beyond), (Some(11.0), 10));
+        assert_eq!(head(&[], 0.1).value, None);
     }
 
     #[test]
