@@ -39,7 +39,7 @@ use crossmesh_obs as obs;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -402,7 +402,8 @@ impl Monitor {
 
     /// Blocks until the run finishes or `deadline` elapses (which marks
     /// the run failed so stuck workers bail out on their next check).
-    fn wait(&self, deadline: Duration) {
+    /// Returns true if the run failed.
+    fn wait(&self, deadline: Duration) -> bool {
         let t0 = Instant::now();
         let mut st = self.state.lock();
         while !st.finished {
@@ -415,7 +416,7 @@ impl Monitor {
                     });
                     st.finished = true;
                     self.cv.notify_all();
-                    return;
+                    return true;
                 }
                 Some(left) => {
                     self.cv
@@ -423,6 +424,7 @@ impl Monitor {
                 }
             }
         }
+        st.error.is_some()
     }
 
     fn take_error(&self) -> Option<RunFailure> {
@@ -639,8 +641,9 @@ impl Shared {
     }
 
     /// Delivers one frame of `flow` to `dst`, via channel or socket.
-    /// Blocks under backpressure but aborts once the run is finished, so
-    /// a failed run never wedges a sender.
+    /// Blocks under backpressure but aborts once the run fails: a channel
+    /// send notices the finished flag, a socket write errors out when
+    /// `run` shuts the fabric down, so a failed run never wedges a sender.
     fn send_frame(
         &self,
         src: u32,
@@ -665,8 +668,8 @@ impl Shared {
                 .expect("a connection exists for every host pair");
             let mut stream = stream.lock();
             let hdr = encode_header(dst, flow, payload.len() as u32, last, attempt);
-            write_full(&mut stream, &hdr, &self.monitor)?;
-            write_full(&mut stream, &payload, &self.monitor)?;
+            write_full(&mut stream, &hdr)?;
+            write_full(&mut stream, &payload)?;
             return Ok(());
         }
         let mut msg = Inbound::Data {
@@ -712,18 +715,13 @@ fn encode_header(dst: u32, flow: u32, len: u32, last: bool, attempt: u8) -> [u8;
     hdr
 }
 
-/// Writes all of `buf`, tolerating send-timeout ticks (used to notice an
-/// aborted run instead of blocking forever on a full socket).
-fn write_full(stream: &mut TcpStream, mut buf: &[u8], monitor: &Monitor) -> Result<(), String> {
+/// Writes all of `buf`. Blocks on a full socket until the peer reads or
+/// the fabric is shut down (then the write errors out).
+fn write_full(stream: &mut TcpStream, mut buf: &[u8]) -> Result<(), String> {
     while !buf.is_empty() {
         match stream.write(buf) {
             Ok(0) => return Err("tcp connection closed mid-frame".into()),
             Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if monitor.is_finished() {
-                    return Err("run aborted during tcp write".into());
-                }
-            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(format!("tcp write: {e}")),
         }
@@ -731,10 +729,10 @@ fn write_full(stream: &mut TcpStream, mut buf: &[u8], monitor: &Monitor) -> Resu
     Ok(())
 }
 
-/// Reads exactly `buf.len()` bytes. `Ok(false)` means the peer closed the
-/// connection cleanly before the first byte, or the run finished while the
-/// socket was idle (both are normal shutdown at a frame boundary).
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], monitor: &Monitor) -> Result<bool, String> {
+/// Reads exactly `buf.len()` bytes. `Ok(false)` means the connection
+/// reached end-of-stream before the first byte: normal shutdown at a
+/// frame boundary.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> Result<bool, String> {
     let mut got = 0usize;
     while got < buf.len() {
         match stream.read(&mut buf[got..]) {
@@ -745,14 +743,6 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], monitor: &Monitor) -> Resul
                 return Err("tcp connection closed mid-frame".into());
             }
             Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if monitor.is_finished() {
-                    if got == 0 {
-                        return Ok(false);
-                    }
-                    return Err("run aborted during tcp read".into());
-                }
-            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(format!("tcp read: {e}")),
         }
@@ -837,10 +827,10 @@ fn run(
 
     // TCP fabric first (if any), so the write halves can live inside the
     // shared state from the start; reader threads spawn after it exists.
-    let (tcp_writers, reader_streams) = if backend.transport == TransportKind::Tcp {
+    let (tcp_writers, reader_streams, tcp_shutdown) = if backend.transport == TransportKind::Tcp {
         tcp_fabric(cluster).map_err(|e| RunFailure::run(format!("tcp setup: {e}")))?
     } else {
-        (HashMap::new(), Vec::new())
+        (HashMap::new(), Vec::new(), Vec::new())
     };
 
     let shared = Arc::new(Shared {
@@ -899,11 +889,22 @@ fn run(
     }
 
     shared.seed();
-    shared.monitor.wait(backend.deadline);
+    let failed = shared.monitor.wait(backend.deadline);
 
     // Orderly shutdown: quit the compute/send queues (they feed the
-    // fabric), then the inbound queues; readers notice the finished flag
-    // on their next I/O timeout tick.
+    // fabric), close the fabric, then quit the inbound queues. A failed
+    // run shuts every socket down first, waking writers blocked on a full
+    // socket and readers blocked in `read`; a successful run has nothing
+    // in flight, so it half-closes once the senders are gone and each
+    // reader drains to end-of-stream at a frame boundary.
+    let close_fabric = |how| {
+        for s in &tcp_shutdown {
+            let _ = s.shutdown(how);
+        }
+    };
+    if failed {
+        close_fabric(Shutdown::Both);
+    }
     for tx in &shared.compute_tx {
         let _ = tx.send(Cmd::Quit);
     }
@@ -913,17 +914,13 @@ fn run(
     for w in workers {
         let _ = w.join();
     }
+    if !failed {
+        close_fabric(Shutdown::Write);
+    }
+    // Receive workers drain their queue until `Quit` and never block
+    // elsewhere, so a blocking send is bounded (or fails once they exit).
     for tx in &shared.inbound_tx {
-        let mut msg = Inbound::Quit;
-        loop {
-            match tx.try_send(msg) {
-                Ok(()) | Err(TrySendError::Disconnected(_)) => break,
-                Err(TrySendError::Full(m)) => {
-                    msg = m;
-                    thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
+        let _ = tx.send(Inbound::Quit);
     }
     for w in recv_workers {
         let _ = w.join();
@@ -985,12 +982,18 @@ where
         .expect("spawning an OS thread")
 }
 
-/// Opens one TCP loopback connection per host pair; returns the write
-/// halves (routed by `(src_host, dst_host)`) and the read halves.
-#[allow(clippy::type_complexity)]
-fn tcp_fabric(
-    cluster: &ClusterSpec,
-) -> std::io::Result<(HashMap<(u32, u32), Mutex<TcpStream>>, Vec<TcpStream>)> {
+/// Write halves routed by `(src_host, dst_host)`, read halves, and one
+/// shutdown handle per socket.
+type TcpFabric = (
+    HashMap<(u32, u32), Mutex<TcpStream>>,
+    Vec<TcpStream>,
+    Vec<TcpStream>,
+);
+
+/// Opens one TCP loopback connection per host pair. The shutdown handles
+/// live outside the writer locks: a writer blocked on a full socket holds
+/// its lock, and shutting the socket down is what unblocks it.
+fn tcp_fabric(cluster: &ClusterSpec) -> std::io::Result<TcpFabric> {
     let hosts = cluster.num_hosts();
     let mut listeners = Vec::with_capacity(hosts as usize);
     for _ in 0..hosts {
@@ -1005,27 +1008,26 @@ fn tcp_fabric(
 
     let mut writers = HashMap::new();
     let mut readers = Vec::new();
-    let io_tick = Some(Duration::from_millis(200));
+    let mut handles = Vec::new();
     for a in 0..hosts {
         for b in (a + 1)..hosts {
             // Sequential connect-then-accept keeps the pairing
             // deterministic: the backlog holds exactly this connection.
             let out = TcpStream::connect(addrs[b as usize])?;
             let (inc, _) = listeners[b as usize].accept()?;
-            for s in [&out, &inc] {
-                s.set_nodelay(true)?;
-                s.set_read_timeout(io_tick)?;
-                s.set_write_timeout(io_tick)?;
-            }
             // `a` writes a->b on `out`; `b` writes b->a on `inc`. Each
             // side reads the opposite direction from its own clone.
+            for s in [&out, &inc] {
+                s.set_nodelay(true)?;
+                handles.push(s.try_clone()?);
+            }
             writers.insert((a, b), Mutex::new(out.try_clone()?));
             writers.insert((b, a), Mutex::new(inc.try_clone()?));
             readers.push(inc);
             readers.push(out);
         }
     }
-    Ok((writers, readers))
+    Ok((writers, readers, handles))
 }
 
 /// Reads a little-endian `u32` out of a frame header at `at`. Infallible:
@@ -1035,11 +1037,12 @@ fn header_u32(hdr: &[u8], at: usize) -> u32 {
 }
 
 /// Forwards frames from one TCP connection to the destination devices'
-/// inbound queues until the peer closes or the run ends.
+/// inbound queues until the connection reaches end-of-stream (the peer's
+/// half-close, or the fabric shut down by a failed run).
 fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
     let mut hdr = [0u8; FRAME_HEADER];
     loop {
-        match read_full(&mut stream, &mut hdr, &shared.monitor) {
+        match read_full(&mut stream, &mut hdr) {
             Ok(true) => {}
             Ok(false) => return, // clean shutdown
             Err(e) => {
@@ -1054,7 +1057,7 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
         let attempt = hdr[13];
         let mut payload = vec![0u8; len];
         if len > 0 {
-            match read_full(&mut stream, &mut payload, &shared.monitor) {
+            match read_full(&mut stream, &mut payload) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => {
                     shared.monitor.fail(RunFailure::task(
@@ -1074,29 +1077,19 @@ fn tcp_reader(mut stream: TcpStream, shared: &Shared) {
             ));
             return;
         }
-        let mut msg = Inbound::Data {
+        let msg = Inbound::Data {
             flow,
             payload: Bytes::from(payload),
             last,
             attempt,
         };
         hb::release(shared.hb_inbound_chan(dst as usize));
-        loop {
-            match shared.inbound_tx[dst as usize].try_send(msg) {
-                Ok(()) => {
-                    shared.note_enqueued(dst);
-                    break;
-                }
-                Err(TrySendError::Full(m)) => {
-                    if shared.monitor.is_finished() {
-                        return;
-                    }
-                    msg = m;
-                    thread::sleep(Duration::from_micros(20));
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            }
+        // A full queue blocks until its receive worker drains it (it always
+        // does, until `Quit`); a send fails once that worker has exited.
+        if shared.inbound_tx[dst as usize].send(msg).is_err() {
+            return;
         }
+        shared.note_enqueued(dst);
     }
 }
 
@@ -1480,15 +1473,17 @@ mod tests {
         g.add(Work::compute(c.device(0, 0), 10.0), []);
         // 10 simulated seconds at default 1e-3 scale is 10 ms of wall
         // time; a 1 ms deadline must trip first.
-        let backend = ThreadedBackend::threads().with_deadline(Duration::from_millis(1));
-        let err = backend.execute(&c, &g).unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Backend {
-                backend: "threads",
-                ..
-            }
-        ));
+        for backend in backends() {
+            let name = backend.name();
+            let err = backend
+                .with_deadline(Duration::from_millis(1))
+                .execute(&c, &g)
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::Backend { backend, .. } if backend == name),
+                "{name}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1560,19 +1555,25 @@ mod tests {
             backoff: Duration::from_micros(100),
             ..InjectedFaults::default()
         };
-        let err = ThreadedBackend::threads()
-            .with_faults(faults)
-            .execute(&c, &g)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::TaskFailed {
-                backend: "threads",
-                task,
-                kind: FailureKind::RetriesExhausted,
-                ..
-            } if task == f
-        ));
+        for backend in backends() {
+            let name = backend.name();
+            let err = backend
+                .with_faults(faults.clone())
+                .execute(&c, &g)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SimError::TaskFailed {
+                        backend,
+                        task,
+                        kind: FailureKind::RetriesExhausted,
+                        ..
+                    } if backend == name && task == f
+                ),
+                "{name}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1626,10 +1627,12 @@ mod tests {
         ));
     }
 
-    /// A shared state with no devices and no tasks: enough structure for
-    /// driving individual workers directly in failure-path tests.
-    fn bare_shared() -> Arc<Shared> {
-        Arc::new(Shared {
+    /// A shared state with no tasks and `devices` inbound queues (returned
+    /// alongside): enough structure for driving individual workers
+    /// directly.
+    fn bare_shared(devices: usize) -> (Arc<Shared>, Vec<Receiver<Inbound>>) {
+        let (inbound_tx, inbound_rx) = (0..devices).map(|_| mpsc::sync_channel(4)).unzip();
+        let shared = Arc::new(Shared {
             monitor: Monitor::new(1),
             t0: Instant::now(),
             kinds: Vec::new(),
@@ -1641,8 +1644,8 @@ mod tests {
             finish_ns: Vec::new(),
             compute_tx: Vec::new(),
             send_tx: Vec::new(),
-            inbound_tx: Vec::new(),
-            queue_depth: Vec::new(),
+            inbound_tx,
+            queue_depth: (0..devices).map(|_| AtomicI64::new(0)).collect(),
             tcp_writers: HashMap::new(),
             device_host: Vec::new(),
             zero: Bytes::new(),
@@ -1650,7 +1653,8 @@ mod tests {
             faults: Arc::new(InjectedFaults::default()),
             retries: AtomicU64::new(0),
             hb_base: hb::fresh_ids(1),
-        })
+        });
+        (shared, inbound_rx)
     }
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
@@ -1662,7 +1666,7 @@ mod tests {
 
     #[test]
     fn tcp_frame_for_an_unknown_device_fails_the_run() {
-        let shared = bare_shared();
+        let (shared, _) = bare_shared(0);
         let (mut out, inc) = loopback_pair();
         out.write_all(&encode_header(3, 7, 0, true, 0)).unwrap();
         drop(out);
@@ -1678,7 +1682,7 @@ mod tests {
 
     #[test]
     fn tcp_connection_closed_mid_frame_is_reported() {
-        let shared = bare_shared();
+        let (shared, _) = bare_shared(0);
         let (mut out, inc) = loopback_pair();
         // 5 of the 14 header bytes, then the peer vanishes.
         out.write_all(&[1, 2, 3, 4, 5]).unwrap();
@@ -1692,8 +1696,59 @@ mod tests {
     }
 
     #[test]
+    fn half_close_after_a_full_frame_is_a_clean_end_of_stream() {
+        let (shared, inbox) = bare_shared(1);
+        let (mut out, inc) = loopback_pair();
+        out.write_all(&encode_header(0, 7, 3, true, 0)).unwrap();
+        out.write_all(&[1, 2, 3]).unwrap();
+        out.shutdown(Shutdown::Write).unwrap();
+        tcp_reader(inc, &shared);
+        let Ok(Inbound::Data {
+            flow: 7,
+            payload,
+            last: true,
+            attempt: 0,
+        }) = inbox[0].try_recv()
+        else {
+            panic!("the frame is forwarded before end-of-stream");
+        };
+        assert_eq!(&payload[..], &[1, 2, 3]);
+        assert!(!shared.monitor.is_finished());
+        assert_eq!(shared.monitor.take_error(), None);
+    }
+
+    #[test]
+    fn shutdown_unblocks_a_writer_on_a_full_socket() {
+        let (mut out, _never_read) = loopback_pair();
+        assert_eq!(out.read_timeout().unwrap(), None);
+        assert_eq!(out.write_timeout().unwrap(), None);
+        // Fill the socket buffers: the peer never reads, so once a
+        // non-blocking write is refused, a blocking one cannot complete.
+        let chunk = vec![0u8; 1 << 16];
+        out.set_nonblocking(true).unwrap();
+        while out.write(&chunk).is_ok() {}
+        out.set_nonblocking(false).unwrap();
+        let handle = out.try_clone().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let writer = thread::spawn(move || {
+            let _ = tx.send(write_full(&mut out, &chunk));
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "with no timeouts set, the writer stays blocked"
+        );
+        handle.shutdown(Shutdown::Both).unwrap();
+        let result = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown wakes the blocked writer");
+        let err = result.expect_err("the frame cannot be written");
+        assert!(err.starts_with("tcp "), "{err}");
+        writer.join().unwrap();
+    }
+
+    #[test]
     fn a_panicking_worker_fails_the_run_instead_of_hanging() {
-        let shared = bare_shared();
+        let (shared, _) = bare_shared(0);
         let h = spawn_named("cm-test-panic".into(), Arc::clone(&shared), |_| {
             panic!("synthetic worker bug")
         });

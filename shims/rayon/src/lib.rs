@@ -469,8 +469,13 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
-        self.state.available.notify_all();
+        {
+            // Under the queue lock, so the store cannot fall between a
+            // worker's `shutdown` check and its `wait` (a lost wakeup).
+            let _queue = self.state.queue.lock().unwrap_or_else(|p| p.into_inner());
+            self.state.shutdown.store(true, Ordering::Release);
+            self.state.available.notify_all();
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -687,6 +692,22 @@ mod tests {
             });
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn dropping_a_fresh_pool_never_hangs() {
+        // Dropping right after building races the store of `shutdown`
+        // against workers that are still reaching their first wait.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            for _ in 0..5_000 {
+                drop(ThreadPoolBuilder::new().num_threads(4).build().unwrap());
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("every pool drop joins its workers");
+        dropper.join().unwrap();
     }
 
     #[test]
